@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 )
@@ -46,9 +47,33 @@ func (b *bstream) writeBit(bit uint64) {
 	b.pos++
 }
 
-// writeBits writes the low n bits of v, most significant first,
-// filling whole bytes at a time.
+// wordBits is the widest field the word-at-a-time paths move in one
+// 64-bit load: a field starting at any bit offset within its first byte
+// (at most 7) still ends inside the word.
+const wordBits = 56
+
+// writeBits writes the low n bits of v, most significant first. With 8
+// bytes of buffer left it ORs the field into one big-endian word; the
+// block's tail and fields wider than wordBits take writeBitsSlow. Both
+// paths lay down the same bits.
 func (b *bstream) writeBits(v uint64, n uint) {
+	if i := b.pos >> 3; n <= wordBits && i+8 <= uint64(len(b.data)) {
+		w := binary.BigEndian.Uint64(b.data[i:])
+		w |= (v & (1<<n - 1)) << (64 - n - uint(b.pos&7))
+		binary.BigEndian.PutUint64(b.data[i:], w)
+		b.pos += uint64(n)
+		return
+	}
+	b.writeBitsSlow(v, n)
+}
+
+// writeBitsSlow splits wide fields and fills byte by byte at the tail.
+func (b *bstream) writeBitsSlow(v uint64, n uint) {
+	if n > wordBits {
+		b.writeBits(v>>32, n-32)
+		b.writeBits(v&(1<<32-1), 32)
+		return
+	}
 	for n > 0 {
 		free := 8 - uint(b.pos&7)
 		take := n
@@ -68,9 +93,23 @@ func (b *bstream) readBit() uint64 {
 	return bit
 }
 
-// readBits reads n bits, most significant first, draining whole bytes
-// at a time.
+// readBits reads n bits, most significant first: one big-endian word
+// load with 8 bytes of buffer left, readBitsSlow otherwise.
 func (b *bstream) readBits(n uint) uint64 {
+	if i := b.pos >> 3; n <= wordBits && i+8 <= uint64(len(b.data)) {
+		v := binary.BigEndian.Uint64(b.data[i:]) << (b.pos & 7) >> (64 - n)
+		b.pos += uint64(n)
+		return v
+	}
+	return b.readBitsSlow(n)
+}
+
+// readBitsSlow splits wide fields and drains byte by byte at the tail.
+func (b *bstream) readBitsSlow(n uint) uint64 {
+	if n > wordBits {
+		hi := b.readBits(n - 32)
+		return hi<<32 | b.readBits(32)
+	}
 	v := uint64(0)
 	for n > 0 {
 		avail := 8 - uint(b.pos&7)
@@ -201,46 +240,61 @@ func (e *blockEnc) appendXOR(col *colEnc, vbits uint64) {
 	e.bs.writeBits(xor>>trailing, uint(mbits))
 }
 
-// decodeBlock replays count samples of cols columns from data, calling
-// fn for each. The caller guarantees (data, count, cols) came from a
-// matching blockEnc; decode state is local, so concurrent decodes of
-// the same sealed block are safe.
-func decodeBlock(data []byte, count, cols int, fn func(t uint64, vals *[maxCols]float64)) {
-	if count == 0 {
-		return
+// blockDec replays a block one sample at a time. The caller guarantees
+// (data, count, cols) came from a matching blockEnc; decode state is
+// local, so concurrent decodes of the same sealed block are safe.
+type blockDec struct {
+	bs         bstream
+	cols, left int
+	started    bool
+	delta      int64
+	col        [maxCols]colEnc
+
+	t    uint64           // epoch of the current sample
+	vals [maxCols]float64 // value columns of the current sample
+}
+
+func newBlockDec(data []byte, count, cols int) blockDec {
+	return blockDec{bs: bstream{data: data}, cols: cols, left: count}
+}
+
+// next decodes the next sample into d.t and d.vals, reporting false
+// once the block is exhausted.
+func (d *blockDec) next() bool {
+	if d.left == 0 {
+		return false
 	}
-	bs := bstream{data: data}
-	var col [maxCols]colEnc
-	var vals [maxCols]float64
-	t := bs.readBits(64)
-	for c := 0; c < cols; c++ {
-		col[c].lastBits = bs.readBits(64)
-		col[c].leading, col[c].trailing = 0xff, 0xff
-		vals[c] = math.Float64frombits(col[c].lastBits)
-	}
-	fn(t, &vals)
-	delta := int64(0)
-	for i := 1; i < count; i++ {
-		var dod int64
-		switch {
-		case bs.readBit() == 0:
-			dod = 0
-		case bs.readBit() == 0:
-			dod = int64(bs.readBits(7)) - 63
-		case bs.readBit() == 0:
-			dod = int64(bs.readBits(9)) - 255
-		case bs.readBit() == 0:
-			dod = int64(bs.readBits(12)) - 2047
-		default:
-			dod = int64(bs.readBits(64))
+	d.left--
+	bs := &d.bs
+	if !d.started {
+		d.started = true
+		d.t = bs.readBits(64)
+		for c := 0; c < d.cols; c++ {
+			d.col[c].lastBits = bs.readBits(64)
+			d.col[c].leading, d.col[c].trailing = 0xff, 0xff
+			d.vals[c] = math.Float64frombits(d.col[c].lastBits)
 		}
-		delta += dod
-		t += uint64(delta)
-		for c := 0; c < cols; c++ {
-			vals[c] = math.Float64frombits(readXOR(&bs, &col[c]))
-		}
-		fn(t, &vals)
+		return true
 	}
+	var dod int64
+	switch {
+	case bs.readBit() == 0:
+		dod = 0
+	case bs.readBit() == 0:
+		dod = int64(bs.readBits(7)) - 63
+	case bs.readBit() == 0:
+		dod = int64(bs.readBits(9)) - 255
+	case bs.readBit() == 0:
+		dod = int64(bs.readBits(12)) - 2047
+	default:
+		dod = int64(bs.readBits(64))
+	}
+	d.delta += dod
+	d.t += uint64(d.delta)
+	for c := 0; c < d.cols; c++ {
+		d.vals[c] = math.Float64frombits(readXOR(bs, &d.col[c]))
+	}
+	return true
 }
 
 // readXOR reads one value of a column's XOR chain.
@@ -249,8 +303,10 @@ func readXOR(bs *bstream, col *colEnc) uint64 {
 		return col.lastBits
 	}
 	if bs.readBit() == 1 {
-		col.leading = uint8(bs.readBits(5))
-		col.trailing = 64 - col.leading - uint8(bs.readBits(6)) - 1
+		// 5-bit leading-zero count, then 6-bit width minus one.
+		hdr := bs.readBits(11)
+		col.leading = uint8(hdr >> 6)
+		col.trailing = 64 - col.leading - uint8(hdr&63) - 1
 	}
 	mbits := uint(64 - col.leading - col.trailing)
 	xor := bs.readBits(mbits) << col.trailing
