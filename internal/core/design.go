@@ -45,10 +45,6 @@ type DesignSpec struct {
 	// paper's controller uses both.
 	DisableDeltaU   bool
 	DisableIntegral bool
-	// FreqLevels restricts the excitation to a subset of the DVFS
-	// settings, for identifying region models (gain scheduling). Nil
-	// uses every setting.
-	FreqLevels []float64
 }
 
 // withDefaults fills zero fields with Table III values.
@@ -113,15 +109,6 @@ type DesignReport struct {
 // and records the input/output waveforms (paper §IV-B1). Inputs are in
 // the controller's normalized units; outputs are [IPS, power].
 func CollectIdentificationData(training []sim.Workload, threeInput bool, epochsPerApp int, seed int64) (*sysid.Data, error) {
-	return collectIdentificationData(training, threeInput, epochsPerApp, seed, sim.FreqLevels())
-}
-
-// collectIdentificationData is CollectIdentificationData with a custom
-// frequency-excitation range (for gain-scheduled region models).
-func collectIdentificationData(training []sim.Workload, threeInput bool, epochsPerApp int, seed int64, freqLevels []float64) (*sysid.Data, error) {
-	if len(freqLevels) == 0 {
-		freqLevels = sim.FreqLevels()
-	}
 	if len(training) == 0 {
 		return nil, errors.New("core: no training workloads")
 	}
@@ -150,7 +137,7 @@ func collectIdentificationData(training []sim.Workload, threeInput bool, epochsP
 		// a few epochs — so successive outputs decorrelate from the
 		// held input and the regression can separate the input gain from
 		// the output autoregression.
-		freqSig := sysid.RandomLevels(rng, epochsPerApp, freqLevels, 2, 8)
+		freqSig := sysid.RandomLevels(rng, epochsPerApp, sim.FreqLevels(), 2, 8)
 		cacheSig := sysid.RandomLevels(rng, epochsPerApp, sim.CacheWaysLevels(), 3, 12)
 		robSig := sysid.RandomLevels(rng, epochsPerApp, normalizedROBLevels(), 2, 10)
 		havePrev := false
@@ -204,7 +191,7 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 	if len(spec.Training) == 0 {
 		return nil, nil, errors.New("core: DesignSpec.Training is required")
 	}
-	data, err := collectIdentificationData(spec.Training, spec.ThreeInput, spec.EpochsPerApp, spec.Seed, spec.FreqLevels)
+	data, err := CollectIdentificationData(spec.Training, spec.ThreeInput, spec.EpochsPerApp, spec.Seed)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: identification: %w", err)
 	}

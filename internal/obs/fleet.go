@@ -50,6 +50,10 @@ type Fleet struct {
 	// transitions so the global verdict is O(1) per epoch.
 	alerting atomic.Int64
 	burning  atomic.Int64
+
+	// Live /events streams, and the streams refused at maxEventStreams.
+	streams        atomic.Int32
+	eventsRejected telemetry.Counter
 }
 
 // NewFleet builds a fleet.
@@ -67,6 +71,11 @@ func NewFleet(opts Options) *Fleet {
 		opts.Registry.SetScopeLimit(opts.ScopeLimit)
 	}
 	f := &Fleet{opts: opts, specs: opts.Specs, loops: make(map[string]*Loop)}
+	if opts.Bus != nil {
+		// A disabled registry hands back a no-op counter.
+		f.eventsRejected = opts.Registry.Counter("obs_events_rejected_total",
+			"/events streams refused at the concurrent-stream cap")
+	}
 	if bus := opts.Bus; bus != nil && opts.Registry.Enabled() {
 		// Bus health as first-class metrics: drops and pump lag are the
 		// two signals that say the observability plane itself is shedding

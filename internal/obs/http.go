@@ -29,9 +29,17 @@ func (f *Fleet) SLOHandler() http.Handler {
 	})
 }
 
+// maxEventStreams caps concurrent /events streams. Each stream holds a
+// bus subscription (a 1024-event channel) that the pump fans out to
+// under the bus lock, so an unbounded count would let clients grow both
+// memory and pump latency without limit.
+const maxEventStreams = 16
+
 // EventsHandler streams live events as JSONL (?format=csv for CSV,
 // ?limit=N to close after N events) until the client disconnects. With
-// no bus attached it serves 404.
+// no bus attached it serves 404; beyond maxEventStreams concurrent
+// streams it serves 429 and counts the refusal in
+// obs_events_rejected_total.
 func (f *Fleet) EventsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		bus := f.opts.Bus
@@ -48,6 +56,13 @@ func (f *Fleet) EventsHandler() http.Handler {
 			}
 			limit = n
 		}
+		if f.streams.Add(1) > maxEventStreams {
+			f.streams.Add(-1)
+			f.eventsRejected.Inc()
+			http.Error(w, "too many concurrent event streams", http.StatusTooManyRequests)
+			return
+		}
+		defer f.streams.Add(-1)
 		var sink Sink
 		if r.URL.Query().Get("format") == "csv" {
 			w.Header().Set("Content-Type", "text/csv")

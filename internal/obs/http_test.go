@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mimoctl/internal/telemetry"
 )
 
 // /events handler edge cases: parameter validation, the unlimited
@@ -145,5 +147,88 @@ func TestEventsHandlerCSVLimited(t *testing.T) {
 		default:
 			l.Observe(goodSample())
 		}
+	}
+}
+
+// TestEventsHandlerStreamCap pins the concurrent-stream bound: with
+// maxEventStreams streams open, one more is refused with 429 and counted
+// in obs_events_rejected_total, and a cancelled stream frees its slot.
+func TestEventsHandlerStreamCap(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	bus := NewBus(1 << 10)
+	defer bus.Close()
+	f := NewFleet(Options{Registry: reg, Bus: bus})
+	l := f.Register("a")
+	h := f.EventsHandler()
+	exited := make(chan struct{}, maxEventStreams+2) // one per request below
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		exited <- struct{}{}
+	}))
+	defer srv.Close()
+	rejected := reg.Counter("obs_events_rejected_total", "")
+
+	// The handler sends no headers until its first event, so keep events
+	// flowing: a stream's response arriving means it holds a slot.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				l.Observe(goodSample())
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}()
+
+	open := func() (*http.Response, context.CancelFunc) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, "GET", srv.URL, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		return resp, func() { cancel(); resp.Body.Close() }
+	}
+	cancels := make([]context.CancelFunc, 0, maxEventStreams)
+	defer func() {
+		for _, c := range cancels {
+			c()
+		}
+	}()
+	for i := 0; i < maxEventStreams; i++ {
+		resp, cancel := open()
+		cancels = append(cancels, cancel)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stream %d: status %d, want 200", i, resp.StatusCode)
+		}
+	}
+
+	resp, cancel := open()
+	cancel()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("stream over the cap: status %d, want 429", resp.StatusCode)
+	}
+	if got := rejected.Value(); got != 1 {
+		t.Fatalf("obs_events_rejected_total = %d after one refusal, want 1", got)
+	}
+
+	<-exited // the refused request's handler
+
+	// Cancel one stream; once its handler returns, the slot is free.
+	cancels[0]()
+	<-exited
+	resp, cancel = open()
+	cancels[0] = cancel
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream after a cancel: status %d, want 200", resp.StatusCode)
 	}
 }
