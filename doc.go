@@ -6,7 +6,7 @@
 //
 // The library is organized as internal packages — see DESIGN.md for the
 // full inventory — with runnable entry points under cmd/ and examples/,
-// and a benchmark per paper figure/table in bench_test.go:
+// and the repository benchmark in perfbench/:
 //
 //   - internal/mat, internal/lti, internal/sysid, internal/lqg,
 //     internal/robust: the numerical control stack (linear algebra,

@@ -4,23 +4,28 @@ import (
 	"math/rand"
 	"testing"
 
+	"mimoctl/internal/core"
 	"mimoctl/internal/sim"
 )
 
 // fleetEngine builds an N-lane engine of warmed-up 3-input clones plus
-// the telemetry/output slices StepAll consumes.
-func fleetEngine(tb testing.TB, n int) (*Engine, []sim.Telemetry, []sim.Config) {
+// the telemetry/output slices StepAll consumes. The clones are returned
+// too: the engine holds snapshots of them, so they step independently
+// as the scalar twin of the fleet.
+func fleetEngine(tb testing.TB, n int) (*Engine, []*core.MIMOController, []sim.Telemetry, []sim.Config) {
 	tb.Helper()
 	base := designedController(tb, true)
 	rng := rand.New(rand.NewSource(3))
-	e := New()
-	for i := 0; i < n; i++ {
+	ctrls := make([]*core.MIMOController, n)
+	for i := range ctrls {
 		c := base.Clone()
 		c.Reset()
 		c.SetTargets(1+rng.Float64()*3, 1+rng.Float64()*20)
-		if _, err := e.Add(c.BatchState()); err != nil {
-			tb.Fatal(err)
-		}
+		ctrls[i] = c
+	}
+	e, err := FromControllers(ctrls)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	tels := make([]sim.Telemetry, n)
 	for i := range tels {
@@ -30,14 +35,14 @@ func fleetEngine(tb testing.TB, n int) (*Engine, []sim.Telemetry, []sim.Config) 
 			Config: sim.MidrangeConfig(),
 		}
 	}
-	return e, tels, make([]sim.Config, n)
+	return e, ctrls, tels, make([]sim.Config, n)
 }
 
 // TestBatchStepZeroAlloc pins the fused per-loop step at 0 allocs/op:
 // stepping a whole fleet must not touch the heap (DESIGN.md §7 zero-alloc
 // discipline, extended to the batch path).
 func TestBatchStepZeroAlloc(t *testing.T) {
-	e, tels, outs := fleetEngine(t, 64)
+	e, _, tels, outs := fleetEngine(t, 64)
 	if avg := testing.AllocsPerRun(100, func() {
 		if err := e.StepAll(tels, outs); err != nil {
 			t.Fatal(err)
@@ -53,9 +58,10 @@ func TestBatchStepZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkBatchStep measures the fused kernel's per-loop cost over a
-// 1024-lane fleet. CI gates this benchmark at 0 allocs/op via benchcmp.
+// 1024-lane fleet. TestBatchStepZeroAlloc gates the same StepAll path at
+// 0 allocs/op.
 func BenchmarkBatchStep(b *testing.B) {
-	e, tels, outs := fleetEngine(b, 1024)
+	e, _, tels, outs := fleetEngine(b, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,8 +76,9 @@ func BenchmarkBatchStep(b *testing.B) {
 
 // BenchmarkBatchSupervisedStep measures the fused supervised kernel
 // (sanitize → LQG step → monitor EMAs → quantize) per lane over a
-// 1024-lane fleet warmed past its grace period. CI gates this benchmark
-// at 0 allocs/op via benchcmp.
+// 1024-lane fleet warmed past its grace period.
+// TestBatchSupervisedStepZeroAlloc gates the same StepAll path at
+// 0 allocs/op.
 func BenchmarkBatchSupervisedStep(b *testing.B) {
 	e, tels, outs, cleanup := supAllocFleet(b, 1024, false)
 	defer cleanup()

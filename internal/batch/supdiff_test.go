@@ -342,8 +342,8 @@ func TestBatchSupervisedEvictReadmitBitIdentical(t *testing.T) {
 // epoch) must produce byte-identical configurations and runtime state.
 func TestBatchShardedIdentical(t *testing.T) {
 	const n, epochs = 37, 600
-	e1, tels1, out1 := fleetEngine(t, n)
-	e2, tels2, out2 := fleetEngine(t, n)
+	e1, _, tels1, out1 := fleetEngine(t, n)
+	e2, _, tels2, out2 := fleetEngine(t, n)
 	rng := rand.New(rand.NewSource(31))
 	for epoch := 0; epoch < epochs; epoch++ {
 		for j := 0; j < n; j++ {
@@ -455,14 +455,38 @@ func TestBatchSupervisedShardedIdentical(t *testing.T) {
 	}
 }
 
+// supFleet builds n monitor-less supervised loops with targets pinned
+// to each lane's operating point, so the tracking-error EMA settles near
+// zero and no lane may leave the fast path however many epochs the
+// alloc and timing gates run. Each loop is registered on fleet when it
+// is non-nil. The same n always yields the same loops and telemetry.
+func supFleet(tb testing.TB, n int, fleet *obs.Fleet) ([]*supervisor.Supervised, []sim.Telemetry) {
+	tb.Helper()
+	base := designedController(tb, true)
+	rng := rand.New(rand.NewSource(17))
+	tels := make([]sim.Telemetry, n)
+	for i := range tels {
+		tels[i] = sim.Telemetry{IPS: 1.5 + rng.Float64(), PowerW: 5 + rng.Float64()*2, Config: sim.MidrangeConfig()}
+	}
+	sups := make([]*supervisor.Supervised, n)
+	for i := range sups {
+		c := base.Clone()
+		c.Reset()
+		s := supervisor.New(c, supervisor.Options{GraceEpochs: 60})
+		s.SetTargets(tels[i].IPS, tels[i].PowerW)
+		if fleet != nil {
+			s.SetLoopObs(fleet.Register(fmt.Sprintf("lane-%d", i)))
+		}
+		sups[i] = s
+	}
+	return sups, tels
+}
+
 // supAllocFleet builds an n-lane supervised fleet warmed past its grace
 // period (so the alarm/EMA path is live) for the zero-alloc gates,
 // optionally wired into a fleet observability plane with an event bus.
 func supAllocFleet(tb testing.TB, n int, wireObs bool) (*SupEngine, []sim.Telemetry, []sim.Config, func()) {
 	tb.Helper()
-	base := designedController(tb, true)
-	rng := rand.New(rand.NewSource(17))
-	e := NewSupervised()
 	cleanup := func() {}
 	var fleet *obs.Fleet
 	if wireObs {
@@ -470,33 +494,24 @@ func supAllocFleet(tb testing.TB, n int, wireObs bool) (*SupEngine, []sim.Teleme
 		fleet = obs.NewFleet(obs.Options{Bus: bus})
 		cleanup = func() { _ = bus.Close() }
 	}
-	// Targets are pinned to each lane's operating point so the
-	// tracking-error EMA settles near zero: no lane may leave the fast
-	// path, however many epochs the alloc gates and benchmarks run.
-	tels := make([]sim.Telemetry, n)
-	outs := make([]sim.Config, n)
-	for i := range tels {
-		tels[i] = sim.Telemetry{IPS: 1.5 + rng.Float64(), PowerW: 5 + rng.Float64()*2, Config: sim.MidrangeConfig()}
-	}
-	for i := 0; i < n; i++ {
-		c := base.Clone()
-		c.Reset()
-		s := supervisor.New(c, supervisor.Options{GraceEpochs: 60})
-		s.SetTargets(tels[i].IPS, tels[i].PowerW)
-		if wireObs {
-			s.SetLoopObs(fleet.Register(fmt.Sprintf("lane-%d", i)))
-		}
+	sups, tels := supFleet(tb, n, fleet)
+	e := NewSupervised()
+	for _, s := range sups {
 		if _, err := e.Add(s); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	for w := 0; w < 100; w++ {
+	outs := make([]sim.Config, n)
+	for w := 0; w < supWarmEpochs; w++ {
 		if err := e.StepAll(tels, outs); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return e, tels, outs, cleanup
 }
+
+// supWarmEpochs steps a supervised fleet past its 60-epoch grace period.
+const supWarmEpochs = 100
 
 // TestBatchSupervisedStepZeroAlloc pins the supervised fast path at 0
 // allocs per fleet epoch — with and without the fleet observability

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -103,14 +104,35 @@ func TestGolden(t *testing.T) {
 // (job results land in canonical slots, RNG seeds derive from job
 // identity, reduces run in canonical order — so scheduling cannot show
 // through). A single-worker pool is included as the degenerate case.
+//
+// The single-worker pass doubles as the suite's allocation gate: with
+// the cached designs warm, the whole pass (CSV rendering included) must
+// stay within suiteMallocBudget heap allocations.
 func TestGoldenParallelIdentical(t *testing.T) {
 	if *updateGolden {
 		t.Skip("golden files being rewritten")
 	}
+	warmDesigns(t)
+	// The budget counts the unrecorded suite, so the flight-recorder hook
+	// TestMain may have installed is detached for this test.
+	frMu.Lock()
+	saved := frCfg
+	frCfg = FlightRecConfig{}
+	frMu.Unlock()
+	defer func() {
+		frMu.Lock()
+		frCfg = saved
+		frMu.Unlock()
+	}()
+	cases := goldenCases()
 	for _, workers := range []int{1, 4} {
-		for _, c := range goldenCases() {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ran := 0
+		for _, c := range cases {
 			c, workers := c, workers
 			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) {
+				ran++
 				want, err := os.ReadFile(goldenPath(c.name))
 				if err != nil {
 					t.Fatalf("missing golden file (run TestGolden -update first): %v", err)
@@ -122,6 +144,42 @@ func TestGoldenParallelIdentical(t *testing.T) {
 				}
 			})
 		}
+		runtime.ReadMemStats(&after)
+		if workers != 1 || ran != len(cases) {
+			continue
+		}
+		mallocs := after.Mallocs - before.Mallocs
+		t.Logf("warm workers=1 suite pass: %d heap allocations (budget %d)", mallocs, suiteMallocBudget)
+		if mallocs > suiteMallocBudget {
+			t.Errorf("warm workers=1 suite pass made %d heap allocations, over the %d budget", mallocs, suiteMallocBudget)
+		}
+	}
+}
+
+// suiteMallocBudget is 1.2x the heap allocations the warm workers=1
+// golden pass made when the gate was set (1,268,380 on linux/amd64,
+// go1.24).
+const suiteMallocBudget = 1522000
+
+// warmDesigns resolves every cached design and static baseline the
+// golden cases use, so an allocation count covers only the runs.
+func warmDesigns(t *testing.T) {
+	t.Helper()
+	for _, three := range []bool{false, true} {
+		if _, _, err := DesignedMIMO(three, DefaultSeed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := DesignedDecoupled(DefaultSeed); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 3} {
+		if _, err := BaselineFor(k, false, DefaultSeed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := BaselineFor(2, true, DefaultSeed); err != nil {
+		t.Fatal(err)
 	}
 }
 

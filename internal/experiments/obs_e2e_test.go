@@ -106,7 +106,7 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// sink. The recorder rides the pump goroutine, not the publish path,
 	// but it stays out of the timed min-of-two passes above so the
 	// overhead gate keeps measuring the plane alone (the history cost is
-	// gated separately by BenchmarkTSDBSuite* via scripts/bench.sh).
+	// gated separately by TestHistoryRecorderOverhead in internal/batch).
 	reg := telemetry.NewRegistry()
 	hist := tsdb.New(tsdb.Options{})
 	var fleet *obs.Fleet
@@ -124,9 +124,8 @@ func TestFleetObservabilityE2E(t *testing.T) {
 	// The plane costs a fixed ~200ns/epoch plus the event pump (which on
 	// a single-CPU host serializes with the producers). Against this
 	// drive's synthetic ~1.2µs epochs that is tens of percent; at the
-	// paper's 50µs epoch period the same cost is <1%, and over the full
-	// experiment suite it is <5% (BenchmarkObsSuiteOverhead carries the
-	// precise numbers). The in-test gate only catches pathological
+	// paper's 50µs epoch period the same cost is <1%. The in-test gate
+	// only catches pathological
 	// regressions — an O(specs×windows) blowup or a blocking publish —
 	// and is skipped under the race detector, whose instrumentation
 	// multiplies exactly the atomic ops the plane is built from.
@@ -255,5 +254,36 @@ func TestFleetObservabilityE2E(t *testing.T) {
 		if !faulty(i) && sawFallback {
 			t.Errorf("healthy loop %s recorded fallback mode", loopName(i))
 		}
+	}
+}
+
+// TestObsOffStepAllocFree pins the events-off hot path at zero
+// allocations per epoch: the supervised step with a fleet loop attached
+// but no event bus — SLO scoring and scoped counters must not cost heap.
+// (The bare controller step's 0 is pinned by core's
+// TestMIMOStepAllocBudget.)
+func TestObsOffStepAllocFree(t *testing.T) {
+	proto, _, err := DesignedMIMO(false, DefaultSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := obs.NewFleet(obs.Options{Registry: telemetry.NewRegistry()})
+	sup := supervisor.New(proto.Clone(), supervisor.Options{})
+	sup.SetTargets(2.5, 2.0)
+	sup.SetLoopObs(f.Register("gate"))
+	st := sim.Telemetry{IPS: 2.3, PowerW: 1.9, TrueIPS: 2.3, TruePowerW: 1.9,
+		L1MPKI: 10, L2MPKI: 3, Config: sim.MidrangeConfig()}
+	epoch := 0
+	// Warm up past the engage/hold transient and first-epoch latches.
+	for ; epoch < 64; epoch++ {
+		st.Epoch = epoch
+		st.Config = sup.Step(st)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		st.Epoch = epoch
+		epoch++
+		st.Config = sup.Step(st)
+	}); n != 0 {
+		t.Fatalf("Supervised.Step allocates %.1f/op with events off, want 0", n)
 	}
 }

@@ -245,7 +245,7 @@ func TestJobSeedStable(t *testing.T) {
 // BenchmarkRunnerWallClock demonstrates the engine's wall-clock win on
 // latency-bound jobs, which shows even on a single CPU (the workers
 // overlap job wait time; CPU-bound speedup additionally needs real
-// cores — see BenchmarkExpAll at the repo root).
+// cores — see runner.parallel_eff in a traced perfbench suite run).
 func BenchmarkRunnerWallClock(b *testing.B) {
 	const n, jobSleep = 16, 4 * time.Millisecond
 	for _, workers := range []int{0, 4} {

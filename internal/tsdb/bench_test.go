@@ -11,8 +11,8 @@ import (
 
 // BenchmarkTSDBIngest measures the recorder's batch ingest path — the
 // work the obs.Bus pump goroutine pays per drained batch — across an
-// 8-loop fleet with realistically wobbly signals. The committed capture
-// (BENCH_tsdb.json) pins allocs/op at zero; make bench-tsdb gates it.
+// 8-loop fleet with realistically wobbly signals. Its 0 allocs/op is
+// gated by TestRecorderWriteEventsAllocFree and TestIngestAllocFree.
 func BenchmarkTSDBIngest(b *testing.B) {
 	db := New(Options{})
 	rec := NewRecorder(db, nil)

@@ -18,9 +18,12 @@ floor="${FLOOR:-78.0}"
 profile="${PROFILE:-coverage.out}"
 baseline="scripts/coverage_baseline.txt"
 
+run_log=$(mktemp)
+trap 'rm -f "$run_log"' EXIT
+
 echo "== go test -coverprofile $profile ./..."
-go test -coverprofile "$profile" ./... > /tmp/coverage_run.txt 2>&1 || {
-    cat /tmp/coverage_run.txt
+go test -coverprofile "$profile" ./... > "$run_log" 2>&1 || {
+    cat "$run_log"
     exit 1
 }
 
@@ -28,7 +31,7 @@ go test -coverprofile "$profile" ./... > /tmp/coverage_run.txt 2>&1 || {
 current=$(awk '/^ok / && /coverage:/ {
     for (i = 1; i <= NF; i++)
         if ($i == "coverage:" && $(i+1) ~ /%$/) { gsub("%", "", $(i+1)); print $2, $(i+1) }
-}' /tmp/coverage_run.txt | sort)
+}' "$run_log" | sort)
 
 if [ "${UPDATE:-0}" = "1" ]; then
     printf '%s\n' "$current" > "$baseline"
