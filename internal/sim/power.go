@@ -57,15 +57,43 @@ type PowerResult struct {
 // configuration. tempC is the current die temperature (for leakage);
 // activity scales dynamic energy.
 func EvalPower(p PhaseParams, cfg Config, perf PerfResult, tempC, activity float64) PowerResult {
+	var r PowerResult
+	evalPower(&p, cfg, &perf, tempC, activity, &r)
+	return r
+}
+
+// Phase-independent power factors per knob level, immutable after
+// package initialization: the supply voltage of each DVFS setting and
+// the sublinear window-energy scale of each ROB size.
+var (
+	voltageAt = func() []float64 {
+		v := make([]float64, len(FreqSettingsGHz))
+		for i, f := range FreqSettingsGHz {
+			v[i] = Voltage(f)
+		}
+		return v
+	}()
+	robEnergyScale = func() []float64 {
+		s := make([]float64, len(ROBSettings))
+		for i, r := range ROBSettings {
+			robFrac := float64(r) / 128.0
+			s[i] = pow(robFrac, 0.7)
+		}
+		return s
+	}()
+)
+
+// evalPower is the power model body behind EvalPower and the
+// Processor epoch.
+func evalPower(p *PhaseParams, cfg Config, perf *PerfResult, tempC, activity float64, r *PowerResult) {
 	f := cfg.FreqGHz()
-	v := Voltage(f)
+	v := voltageAt[cfg.FreqIdx]
 	vScale := (v / vNom) * (v / vNom)
 
 	// Instruction throughput in G instr/s; nJ/instr × Ginstr/s = W.
 	gips := perf.BIPS
 
-	robFrac := float64(cfg.ROBEntries()) / 128.0
-	epi := epiCoreNJ + epiROBNJ*pow(robFrac, 0.7)
+	epi := epiCoreNJ + epiROBNJ*robEnergyScale[cfg.ROBIdx]
 	dynCore := epi * vScale * activity * gips
 
 	// Cache dynamic power: accesses per second × energy per access.
@@ -93,7 +121,7 @@ func EvalPower(p PhaseParams, cfg Config, perf PerfResult, tempC, activity float
 	clock := clockPowerW * f * vScale
 
 	total := dynamic + leak + clock
-	return PowerResult{
+	*r = PowerResult{
 		TotalW: total, DynamicW: dynamic, LeakageW: leak, ClockW: clock,
 		EnergyJ: total * EpochSeconds,
 	}

@@ -89,6 +89,11 @@ type Processor struct {
 	warmL2    float64
 	dvfsStall bool // a frequency change happened since the last epoch
 	arState   float64
+	// arNoise scales the AR(1) innovation: PhaseNoiseStd·sqrt(1-rho²).
+	arNoise float64
+	// tables holds the interval model's per-knob-level factors for the
+	// current phase values.
+	tables plantTables
 
 	totalEnergyJ float64
 	totalInstr   float64
@@ -106,12 +111,14 @@ func NewProcessor(w Workload, opts ProcessorOptions, seed int64) (*Processor, er
 	if w == nil {
 		return nil, errors.New("sim: workload is required")
 	}
+	rho := opts.PhaseNoiseRho
 	return &Processor{
 		cfg:      MidrangeConfig(),
 		workload: w,
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(seed)),
 		tempC:    tempAmbientC + 10,
+		arNoise:  opts.PhaseNoiseStd * math.Sqrt(1-rho*rho),
 		met:      procTel.Load(),
 	}, nil
 }
@@ -175,27 +182,33 @@ func (p *Processor) ApplyContinuous(freqGHz, l2Ways, robEntries float64) Config 
 // Step executes one 50 µs control epoch and returns the telemetry.
 func (p *Processor) Step() Telemetry {
 	params, phaseID := p.workload.Params(p.epoch)
-	return p.stepWithParams(params, phaseID)
+	var t Telemetry
+	p.stepWithParams(&params, phaseID, &t)
+	return t
 }
 
 // stepWithParams runs one epoch with externally supplied phase
-// parameters; the trace-driven processor uses it to substitute measured
-// miss rates for the analytic curves. The telemetry seam lives here so
-// both the analytic and trace-driven paths are counted: the per-epoch
-// cost is one counter increment, with latency timing and gauge updates
-// sampled every procSampleEvery epochs to keep the hot path within the
-// <5% overhead budget (see BenchmarkProcessorEpochTelemetry).
-func (p *Processor) stepWithParams(params PhaseParams, phaseID int) Telemetry {
+// parameters, which it scales in place by the workload fluctuation, and
+// writes the epoch's telemetry to t. The trace-driven processor uses it
+// to substitute measured miss rates for the analytic curves. The
+// telemetry seam lives here so both the analytic and trace-driven paths
+// are counted: the per-epoch cost is one counter increment, with
+// latency timing and gauge updates sampled every procSampleEvery epochs
+// (perfbench's traced sim.step_ns measures the plant step as the suite
+// runs it).
+func (p *Processor) stepWithParams(params *PhaseParams, phaseID int, t *Telemetry) {
 	m := p.met
 	if m == nil {
-		return p.stepCore(params, phaseID)
+		p.stepCore(params, phaseID, t)
+		return
 	}
 	m.epochs.Inc()
 	if p.epoch%procSampleEvery != 0 {
-		return p.stepCore(params, phaseID)
+		p.stepCore(params, phaseID, t)
+		return
 	}
 	t0 := time.Now()
-	t := p.stepCore(params, phaseID)
+	p.stepCore(params, phaseID, t)
 	m.stepSeconds.Observe(time.Since(t0).Seconds())
 	m.ips.Set(t.IPS)
 	m.power.Set(t.PowerW)
@@ -205,17 +218,16 @@ func (p *Processor) stepWithParams(params PhaseParams, phaseID int) Telemetry {
 	m.energyJ.Add(p.totalEnergyJ - p.metEnergy0)
 	m.instructions.Add(p.totalInstr - p.metInstr0)
 	p.metEnergy0, p.metInstr0 = p.totalEnergyJ, p.totalInstr
-	return t
 }
 
-// stepCore is the uninstrumented epoch step.
-func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
+// stepCore is the uninstrumented epoch step; it writes the epoch's
+// telemetry to t.
+func (p *Processor) stepCore(params *PhaseParams, phaseID int, t *Telemetry) {
 	// Stochastic workload fluctuation (AR(1) in the log domain) applied
 	// to ILP, memory intensity, and activity.
 	mult := 1.0
 	if !p.opts.Deterministic && p.opts.PhaseNoiseStd > 0 {
-		rho := p.opts.PhaseNoiseRho
-		p.arState = rho*p.arState + p.opts.PhaseNoiseStd*math.Sqrt(1-rho*rho)*p.rng.NormFloat64()
+		p.arState = p.opts.PhaseNoiseRho*p.arState + p.arNoise*p.rng.NormFloat64()
 		mult = math.Exp(p.arState)
 	}
 	params.ILP *= mult
@@ -227,8 +239,9 @@ func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
 		stall = DVFSTransitionSeconds / EpochSeconds
 		p.dvfsStall = false
 	}
-	perf := EvalPerf(params, p.cfg, p.warmL1, p.warmL2, stall)
-	pw := EvalPower(params, p.cfg, perf, p.tempC, params.Activity)
+	var perf PerfResult
+	var pw PowerResult
+	p.tables.eval(params, p.cfg, p.warmL1, p.warmL2, stall, p.tempC, &perf, &pw)
 
 	// Advance internal states.
 	p.tempC = stepTemperature(p.tempC, pw.TotalW)
@@ -246,7 +259,7 @@ func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
 		p.warmL2 = 0
 	}
 
-	t := Telemetry{
+	*t = Telemetry{
 		Epoch:        p.epoch,
 		TrueIPS:      perf.BIPS,
 		TruePowerW:   pw.TotalW,
@@ -275,7 +288,6 @@ func (p *Processor) stepCore(params PhaseParams, phaseID int) Telemetry {
 	p.totalInstr += perf.Instructions
 	p.totalSeconds += EpochSeconds
 	p.epoch++
-	return t
 }
 
 // Run executes n epochs and returns the telemetry trace.

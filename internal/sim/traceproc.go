@@ -143,7 +143,8 @@ func (p *TraceProcessor) Step() Telemetry {
 	params.L1M1, params.L1Alpha, params.L1Floor = l1mpki, 0, l1mpki
 	params.L2M1, params.L2Alpha, params.L2Floor = l2mpki, 0, l2mpki
 
-	tel := p.inner.stepWithParams(params, phaseID)
+	var tel Telemetry
+	p.inner.stepWithParams(&params, phaseID, &tel)
 	if tel.Instructions > 0 && f > 0 {
 		p.lastIPC = tel.Instructions / (f * 1e9 * EpochSeconds)
 	}

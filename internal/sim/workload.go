@@ -33,19 +33,27 @@ type PhaseParams struct {
 
 // L1MPKI evaluates the L1 miss curve at the given way count.
 func (p PhaseParams) L1MPKI(ways int) float64 {
-	return missCurve(p.L1M1, p.L1Alpha, p.L1Floor, ways)
+	return missCurveAt(p.L1M1, p.L1Floor, wayPow(ways, p.L1Alpha))
 }
 
 // L2MPKI evaluates the L2 miss curve at the given way count.
 func (p PhaseParams) L2MPKI(ways int) float64 {
-	return missCurve(p.L2M1, p.L2Alpha, p.L2Floor, ways)
+	return missCurveAt(p.L2M1, p.L2Floor, wayPow(ways, p.L2Alpha))
 }
 
-func missCurve(m1, alpha, floor float64, ways int) float64 {
+// wayPow is the miss-curve term ways^(-alpha), with ways clamped to at
+// least one.
+func wayPow(ways int, alpha float64) float64 {
 	if ways < 1 {
 		ways = 1
 	}
-	v := floor + (m1-floor)*pow(float64(ways), -alpha)
+	return pow(float64(ways), -alpha)
+}
+
+// missCurveAt evaluates floor + (m1-floor)·wp for wp = wayPow(ways,
+// alpha), clamped below at floor and at zero.
+func missCurveAt(m1, floor, wp float64) float64 {
+	v := floor + (m1-floor)*wp
 	if v < floor {
 		v = floor
 	}
