@@ -3,6 +3,7 @@ package adapt
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mimoctl/internal/core"
@@ -137,6 +138,10 @@ func TestAdapterRecoversFromDrift(t *testing.T) {
 		// pins the trigger on guardband consumption alone.
 		WhitenessWarn: 1e-300, WhitenessFail: 1e-301,
 	})
+	// The seed model may be shared with other designs (experiments design
+	// several controllers on one identification), so adaptation must only
+	// read it.
+	seedBits := modelBits(model)
 	ad, err := New(Options{
 		Model: model, Target: mimo, Monitor: mon, Seed: 23,
 		FailStreak: 48, ExciteEpochs: 600, DitherHold: 4,
@@ -222,6 +227,31 @@ func TestAdapterRecoversFromDrift(t *testing.T) {
 	if postErr > 2*preErr+0.05 {
 		t.Fatalf("post-swap tracking error %.3f vs nominal %.3f: did not recover", postErr, preErr)
 	}
+	if !slices.Equal(modelBits(model), seedBits) {
+		t.Fatal("adaptation wrote to the seed model it was built from")
+	}
+}
+
+// modelBits flattens every number of an identified model — state-space
+// matrices, offsets, ARX blocks and noise covariances — to its bits.
+func modelBits(m *sysid.Model) []uint64 {
+	var out []uint64
+	add := func(xs []float64) {
+		for _, x := range xs {
+			out = append(out, math.Float64bits(x))
+		}
+	}
+	for _, x := range []*mat.Matrix{m.SS.A, m.SS.B, m.SS.C, m.SS.D, m.B0, m.V, m.K, m.W} {
+		if x != nil {
+			add(x.RawData())
+		}
+	}
+	for _, blk := range append(append([]*mat.Matrix(nil), m.ABlocks...), m.BBlocks...) {
+		add(blk.RawData())
+	}
+	add(m.Off.U0)
+	add(m.Off.Y0)
+	return out
 }
 
 // stubTarget accepts every design; it lets the state-machine tests run

@@ -181,19 +181,35 @@ func normalizedROBLevels() []float64 {
 	return out
 }
 
-// DesignMIMO runs the full Fig. 3 flow: collect identification data on
-// the training set, fit the state-space model, design the LQG controller
-// with the Table III weights, validate the model on held-out
-// applications, and iterate Robust Stability Analysis — doubling the
-// input weights when the check fails — until the design is certified.
-func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
+// Identification is the model half of the Fig. 3 flow: the ARX model
+// fitted to the training record, with its fit diagnostics. It depends
+// only on the spec's identifying fields (Training, ThreeInput,
+// EpochsPerApp, Seed, ModelDimension, plus Validation and
+// ValidationEpochs for ValidationErr), so one Identification serves any
+// number of Design calls with different weights and guardbands. Design
+// only reads it, so concurrent Design calls may share one.
+type Identification struct {
+	Model *sysid.Model
+	// TrainingFit is the model's FitPercent on the training record per
+	// output.
+	TrainingFit []float64
+	// ValidationErr is the per-output mean relative prediction error on
+	// the held-out applications; nil when the spec names none.
+	ValidationErr []float64
+}
+
+// Identify runs the identification half of the Fig. 3 flow: collect
+// identification data on the training set, fit the state-space model of
+// dimension spec.ModelDimension, and validate it on held-out
+// applications (paper §VI-A2) when spec.Validation is set.
+func Identify(spec DesignSpec) (*Identification, error) {
 	spec = spec.withDefaults()
 	if len(spec.Training) == 0 {
-		return nil, nil, errors.New("core: DesignSpec.Training is required")
+		return nil, errors.New("core: DesignSpec.Training is required")
 	}
 	data, err := CollectIdentificationData(spec.Training, spec.ThreeInput, spec.EpochsPerApp, spec.Seed)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: identification: %w", err)
+		return nil, fmt.Errorf("core: identification: %w", err)
 	}
 	// Model order: state dim = NA * outputs; two outputs.
 	na := (spec.ModelDimension + 1) / 2
@@ -202,29 +218,46 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 	}
 	model, err := sysid.FitARX(data, sysid.ARXOrders{NA: na, NB: na})
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: model fit: %w", err)
+		return nil, fmt.Errorf("core: model fit: %w", err)
 	}
-	rep := &DesignReport{Model: model}
+	id := &Identification{Model: model}
 	if pred, err := model.Predict(data); err == nil {
-		rep.TrainingFit, _ = sysid.FitPercent(data.Y, pred)
+		id.TrainingFit, _ = sysid.FitPercent(data.Y, pred)
 	}
-
-	// Validate on held-out applications (paper §VI-A2).
 	if len(spec.Validation) > 0 {
 		valData, err := CollectIdentificationData(spec.Validation, spec.ThreeInput, spec.ValidationEpochs, spec.Seed+99991)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: validation runs: %w", err)
+			return nil, fmt.Errorf("core: validation runs: %w", err)
 		}
 		pred, err := model.Predict(valData)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		rep.ValidationErr, err = sysid.MeanRelError(valData.Y, pred)
+		id.ValidationErr, err = sysid.MeanRelError(valData.Y, pred)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	rep.Guardbands = []float64{spec.IPSGuardband, spec.PowerGuardband}
+	return id, nil
+}
+
+// Design runs the controller half of the Fig. 3 flow on an identified
+// model: design the LQG controller with the spec's weights and iterate
+// Robust Stability Analysis at the spec's guardbands — doubling the
+// input weights when the check fails — until the design is certified.
+// It reads the weights, guardbands, MaxRSAIterations and the
+// Disable* switches from spec; spec.ThreeInput must match the input
+// count id was identified with, and the other identifying fields are
+// ignored. Design never writes to id.
+func Design(id *Identification, spec DesignSpec) (*MIMOController, *DesignReport, error) {
+	spec = spec.withDefaults()
+	model := id.Model
+	rep := &DesignReport{
+		Model:         model,
+		TrainingFit:   id.TrainingFit,
+		ValidationErr: id.ValidationErr,
+		Guardbands:    []float64{spec.IPSGuardband, spec.PowerGuardband},
+	}
 
 	inW := []float64{spec.FreqWeight, spec.CacheWeight}
 	if spec.ThreeInput {
@@ -234,6 +267,7 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 
 	var lq *lqg.Controller
 	for iter := 0; iter < spec.MaxRSAIterations; iter++ {
+		var err error
 		lq, err = lqg.Design(model.SS,
 			lqg.Weights{OutputWeights: outW, InputWeights: inW},
 			lqg.Noise{W: model.W, V: model.V},
@@ -269,4 +303,15 @@ func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
 		return nil, rep, err
 	}
 	return ctrl, rep, nil
+}
+
+// DesignMIMO runs the full Fig. 3 flow: Identify, then Design on the
+// identified model. Callers designing several controllers from one
+// training record call Identify once and Design per weight set.
+func DesignMIMO(spec DesignSpec) (*MIMOController, *DesignReport, error) {
+	id, err := Identify(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return Design(id, spec)
 }

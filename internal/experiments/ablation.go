@@ -43,7 +43,13 @@ func Ablation(seed int64, epochs int) (*AblationResult, error) {
 		{"model dimension 2", func(s *core.DesignSpec) { s.ModelDimension = 2 }},
 		{"model dimension 8", func(s *core.DesignSpec) { s.ModelDimension = 8 }},
 	}
-	// Stage 1: one design job per variant.
+	// Stage 1: one design job per variant. Variants at the default model
+	// dimension share the standard controller's identified model; the
+	// model-dimension variants identify their own.
+	shared, err := identifiedMIMO(false, seed)
+	if err != nil {
+		return nil, err
+	}
 	ctrls := make([]*core.MIMOController, len(variants))
 	design := make([]runner.Job, len(variants))
 	for vi, v := range variants {
@@ -53,7 +59,14 @@ func Ablation(seed int64, epochs int) (*AblationResult, error) {
 			if v.mutate != nil {
 				v.mutate(&spec)
 			}
-			ctrl, _, err := core.DesignMIMO(spec)
+			id := shared
+			if spec.ModelDimension != 0 {
+				var err error
+				if id, err = core.Identify(spec); err != nil {
+					return fmt.Errorf("ablation %q: %w", v.name, err)
+				}
+			}
+			ctrl, _, err := core.Design(id, spec)
 			if err != nil {
 				return fmt.Errorf("ablation %q: %w", v.name, err)
 			}

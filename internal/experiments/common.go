@@ -66,25 +66,50 @@ func designOnce[T any](key any, f func() T) T {
 // must Clone it, and any user must Reset before use; experiments do
 // both.
 func DesignedMIMO(threeInput bool, seed int64) (*core.MIMOController, *core.DesignReport, error) {
+	v := designedMIMO(threeInput, seed)
+	return v.ctrl, v.rep, v.err
+}
+
+// identifiedMIMO returns the identification behind DesignedMIMO(three,
+// seed): the model every default-dimension design at that seed shares,
+// whatever its weights and guardbands. The error is non-nil only when
+// identification itself failed.
+func identifiedMIMO(threeInput bool, seed int64) (*core.Identification, error) {
+	v := designedMIMO(threeInput, seed)
+	if v.id == nil {
+		return nil, v.err
+	}
+	return v.id, nil
+}
+
+// mimoDesign is the cache entry behind DesignedMIMO: the identification
+// and the standard design made on it.
+type mimoDesign struct {
+	id   *core.Identification
+	ctrl *core.MIMOController
+	rep  *core.DesignReport
+	err  error
+}
+
+func designedMIMO(threeInput bool, seed int64) mimoDesign {
 	type key struct {
 		three bool
 		seed  int64
 	}
-	type val struct {
-		ctrl *core.MIMOController
-		rep  *core.DesignReport
-		err  error
-	}
-	v := designOnce(key{threeInput, seed}, func() val {
-		ctrl, rep, err := core.DesignMIMO(core.DesignSpec{
+	return designOnce(key{threeInput, seed}, func() mimoDesign {
+		spec := core.DesignSpec{
 			ThreeInput: threeInput,
 			Training:   TrainingWorkloads(),
 			Validation: ValidationWorkloads(),
 			Seed:       seed,
-		})
-		return val{ctrl, rep, err}
+		}
+		id, err := core.Identify(spec)
+		if err != nil {
+			return mimoDesign{err: err}
+		}
+		ctrl, rep, err := core.Design(id, spec)
+		return mimoDesign{id, ctrl, rep, err}
 	})
-	return v.ctrl, v.rep, v.err
 }
 
 // DesignedDecoupled returns the decoupled SISO pair (cached per seed,

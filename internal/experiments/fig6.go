@@ -59,7 +59,9 @@ type Fig6Result struct {
 }
 
 // Fig6 runs the experiment. epochs <= 0 selects 2500 as in the figure's
-// axis range. The plan is one job per weight set (each designs and runs
+// axis range. Every weight set is designed on the one identified model
+// the standard controller uses (paper Fig. 3: identify once, iterate
+// weights). The plan is one job per weight set (each designs and runs
 // its own controller); points land in Table V order regardless of
 // worker count.
 func Fig6(seed int64, epochs int) (*Fig6Result, error) {
@@ -70,13 +72,14 @@ func Fig6(seed int64, epochs int) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	id, idErr := identifiedMIMO(false, seed)
 	sets := Fig6WeightSets()
 	points := make([]Fig6Point, len(sets))
 	jobs := make([]runner.Job, len(sets))
 	for i, set := range sets {
 		i, set := i, set
 		jobs[i] = runner.Job{Label: "fig6/" + set.Label, Run: func() error {
-			p, err := fig6Point(namd, set, seed, epochs)
+			p, err := fig6Point(id, idErr, namd, set, seed, epochs)
 			if err != nil {
 				return err
 			}
@@ -92,13 +95,16 @@ func Fig6(seed int64, epochs int) (*Fig6Result, error) {
 	return res, nil
 }
 
-// fig6Point designs one weight set's controller and measures its
-// convergence and tracking on namd — one independent job.
-func fig6Point(namd sim.Workload, set Fig6WeightSet, seed int64, epochs int) (Fig6Point, error) {
+// fig6Point designs one weight set's controller on the identified model
+// (id, or the identification error idErr) and measures its convergence
+// and tracking on namd — one independent job. A failed identification
+// is returned as an error: it says nothing about the weight set.
+func fig6Point(id *core.Identification, idErr error, namd sim.Workload, set Fig6WeightSet, seed int64, epochs int) (Fig6Point, error) {
+	if idErr != nil {
+		return Fig6Point{}, idErr
+	}
 	point := Fig6Point{Set: set}
-	ctrl, _, err := core.DesignMIMO(core.DesignSpec{
-		Training:         TrainingWorkloads(),
-		Seed:             seed,
+	ctrl, _, err := core.Design(id, core.DesignSpec{
 		IPSWeight:        set.IPS,
 		PowerWeight:      set.Power,
 		FreqWeight:       set.Freq,

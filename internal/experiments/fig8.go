@@ -36,6 +36,11 @@ func Fig8(seed int64, epochs int) (*Fig8Result, error) {
 	if epochs <= 0 {
 		epochs = 1200
 	}
+	// Both designs share the standard controller's identified model.
+	id, err := identifiedMIMO(false, seed)
+	if err != nil {
+		return nil, err
+	}
 	// The conservative design must tolerate the larger 50%/30%
 	// guardbands, which requires more cautious (heavier) input weights;
 	// betting on the smaller 30%/20% guardbands permits the nominal
@@ -43,9 +48,7 @@ func Fig8(seed int64, epochs int) (*Fig8Result, error) {
 	var high, low *core.MIMOController
 	design := []runner.Job{
 		{Label: "fig8/design/high", Run: func() error {
-			c, _, err := core.DesignMIMO(core.DesignSpec{
-				Training:    TrainingWorkloads(),
-				Seed:        seed,
+			c, _, err := core.Design(id, core.DesignSpec{
 				FreqWeight:  core.DefaultFreqWeight * 4,
 				CacheWeight: core.DefaultCacheWeight * 4,
 			})
@@ -56,9 +59,7 @@ func Fig8(seed int64, epochs int) (*Fig8Result, error) {
 			return nil
 		}},
 		{Label: "fig8/design/low", Run: func() error {
-			c, _, err := core.DesignMIMO(core.DesignSpec{
-				Training:       TrainingWorkloads(),
-				Seed:           seed,
+			c, _, err := core.Design(id, core.DesignSpec{
 				IPSGuardband:   0.30,
 				PowerGuardband: 0.20,
 			})

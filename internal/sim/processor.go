@@ -259,20 +259,21 @@ func (p *Processor) stepCore(params *PhaseParams, phaseID int, t *Telemetry) {
 		p.warmL2 = 0
 	}
 
-	*t = Telemetry{
-		Epoch:        p.epoch,
-		TrueIPS:      perf.BIPS,
-		TruePowerW:   pw.TotalW,
-		TempC:        p.tempC,
-		Instructions: perf.Instructions,
-		EnergyJ:      pw.EnergyJ,
-		L1MPKI:       perf.L1MPKI,
-		L2MPKI:       perf.L2MPKI,
-		PhaseID:      phaseID,
-		Config:       p.cfg,
-	}
-	t.IPS = t.TrueIPS
-	t.PowerW = t.TruePowerW
+	// Field by field: a composite-literal store builds the value in a
+	// temporary and block-copies it. Every field is written, so nothing
+	// of the previous epoch survives.
+	t.Epoch = p.epoch
+	t.IPS = perf.BIPS
+	t.PowerW = pw.TotalW
+	t.TrueIPS = perf.BIPS
+	t.TruePowerW = pw.TotalW
+	t.TempC = p.tempC
+	t.Instructions = perf.Instructions
+	t.EnergyJ = pw.EnergyJ
+	t.L1MPKI = perf.L1MPKI
+	t.L2MPKI = perf.L2MPKI
+	t.PhaseID = phaseID
+	t.Config = p.cfg
 	if !p.opts.Deterministic {
 		t.IPS *= 1 + p.opts.Sensor.IPSStd*p.rng.NormFloat64()
 		t.PowerW *= 1 + p.opts.Sensor.PowerStd*p.rng.NormFloat64()
